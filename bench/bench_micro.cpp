@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the primitives every HypDB
 // component sits on: group-by counting, entropy estimation, stratified
-// summarization, Patefield sampling, cached CMI.
+// summarization, Patefield sampling, the permutation-test replicate loop,
+// cached CMI.
 
 #include <benchmark/benchmark.h>
 
@@ -90,6 +91,44 @@ void BM_MitTest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MitTest)->Arg(100)->Arg(1000);
+
+void BM_MitReplicates(benchmark::State& state) {
+  // Full strata (no sampling) of one shape, as the flights panels produce
+  // them: 0 = 14x2, 1 = 7x4, 2 = 24x2, eight strata with totals spread
+  // over ~50-500. Items are replicate tables, so items/s tracks the
+  // per-replicate cost of PermutationReplicates.
+  static constexpr int kShapes[][2] = {{14, 2}, {7, 4}, {24, 2}};
+  const int rows = kShapes[state.range(0)][0];
+  const int cols = kShapes[state.range(0)][1];
+  constexpr int kStrata = 8;
+  constexpr int kReplicates = 100;
+  Rng gen(5);
+  StratifiedTable table;
+  table.num_t_values = rows;
+  table.num_y_values = cols;
+  for (int s = 0; s < kStrata; ++s) {
+    const int64_t total = 50 + 450 * s / (kStrata - 1);
+    Stratum stratum;
+    stratum.z_key = static_cast<uint64_t>(s);
+    stratum.table = Table2D(rows, cols);
+    for (int64_t k = 0; k < total; ++k) {
+      stratum.table.Add(static_cast<int>(gen.NextBounded(rows)),
+                        static_cast<int>(gen.NextBounded(cols)), 1);
+    }
+    stratum.table.RebuildMargins();
+    table.total += total;
+    table.strata.push_back(std::move(stratum));
+  }
+  std::vector<int> all(kStrata);
+  for (int s = 0; s < kStrata; ++s) all[s] = s;
+  Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PermutationReplicates(
+        table, all, kReplicates, EntropyEstimator::kMillerMadow, rng));
+  }
+  state.SetItemsProcessed(state.iterations() * kStrata * kReplicates);
+}
+BENCHMARK(BM_MitReplicates)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace hypdb

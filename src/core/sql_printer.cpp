@@ -25,13 +25,6 @@ std::vector<std::string> AvgAliases(const AggQuery& query) {
   return aliases;
 }
 
-std::vector<std::string> Prefixed(const std::string& prefix,
-                                  const std::vector<std::string>& names) {
-  std::vector<std::string> out;
-  for (const auto& n : names) out.push_back(prefix + n);
-  return out;
-}
-
 }  // namespace
 
 std::string RewrittenTotalSql(const AggQuery& query,

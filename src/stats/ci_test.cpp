@@ -25,6 +25,64 @@ const char* CiMethodName(CiMethod method) {
   return "?";
 }
 
+std::vector<double> PermutationReplicates(const StratifiedTable& table,
+                                          const std::vector<int>& strata_idx,
+                                          int m, EntropyEstimator est,
+                                          Rng& rng) {
+  std::vector<double> replicate(std::max(m, 0), 0.0);
+  // Stratum weights renormalized over the selection.
+  int64_t selected_total = 0;
+  int64_t max_stratum_total = 0;
+  for (int i : strata_idx) {
+    selected_total += table.strata[i].table.total();
+    max_stratum_total =
+        std::max(max_stratum_total, table.strata[i].table.total());
+  }
+  if (selected_total == 0 || m <= 0) return replicate;
+
+  // Per stratum, draw m tables with the observed margins (Alg. 2 lines
+  // 2-5), then aggregate s_i = Σ_z Pr(z)·Î_Ci (lines 7-10). Each replicate
+  // is one AS-159 walk into a reused cell buffer plus one entropy pass over
+  // its cells: the margins are fixed, so the row and column entropies are
+  // the stratum's own, and ln(c) comes from the table built alongside the
+  // log-factorials.
+  std::vector<double> log_c;
+  const std::vector<double> log_fact =
+      LogFactorialTable(max_stratum_total, &log_c);
+  ModeProbabilityMemo memo;
+  std::vector<int64_t> cells;
+  std::vector<int64_t> col_work;
+  for (int i : strata_idx) {
+    const Table2D& t = table.strata[i].table;
+    double pr_z = static_cast<double>(t.total()) /
+                  static_cast<double>(selected_total);
+    if (t.total() == 0) continue;
+    // Degenerate margins admit a single table: MI is always 0.
+    int nonzero_rows = 0;
+    int nonzero_cols = 0;
+    for (int64_t v : t.row_margins()) nonzero_rows += v > 0 ? 1 : 0;
+    for (int64_t v : t.col_margins()) nonzero_cols += v > 0 ? 1 : 0;
+    if (nonzero_rows <= 1 || nonzero_cols <= 1) continue;
+    const double h_rows = t.RowEntropy(est);
+    const double h_cols = t.ColEntropy(est);
+    const double log_total = std::log(static_cast<double>(t.total()));
+    cells.resize(t.cells().size());
+    col_work.resize(t.num_cols() - 1);
+    for (int rep = 0; rep < m; ++rep) {
+      if (!SampleCellsWithMargins(t.row_margins(), t.col_margins(),
+                                  log_fact.data(), rng, cells, col_work,
+                                  &memo)) {
+        continue;  // underflow: skip this replicate's stratum
+      }
+      const double h_joint =
+          EntropyFromLogTable(cells, t.total(), log_total, log_c.data(), est);
+      const double mi = h_rows + h_cols - h_joint;
+      replicate[rep] += pr_z * (mi < 0.0 ? 0.0 : mi);
+    }
+  }
+  return replicate;
+}
+
 CiTester::CiTester(MiEngine* engine, CiOptions options, uint64_t seed)
     : engine_(engine), options_(options), rng_(seed) {}
 
@@ -213,12 +271,7 @@ CiResult CiTester::MitOnStrata(const StratifiedTable& table,
 
   // Stratum weights renormalized over the selection.
   int64_t selected_total = 0;
-  int64_t max_stratum_total = 0;
-  for (int i : strata_idx) {
-    selected_total += table.strata[i].table.total();
-    max_stratum_total =
-        std::max(max_stratum_total, table.strata[i].table.total());
-  }
+  for (int i : strata_idx) selected_total += table.strata[i].table.total();
 
   CiResult result;
   result.method_used = sampled ? CiMethod::kMitSampled : CiMethod::kMit;
@@ -235,30 +288,8 @@ CiResult CiTester::MitOnStrata(const StratifiedTable& table,
   }
   result.statistic = s0;
 
-  // Permutation replicates: per stratum, draw m tables with the observed
-  // margins (Alg. 2 lines 2-5), then aggregate s_i = Σ_z Pr(z)·Î_Ci
-  // (lines 7-10).
-  std::vector<double> log_fact = LogFactorialTable(max_stratum_total);
-  std::vector<double> replicate(m, 0.0);
-  Table2D sample;
-  for (int i : strata_idx) {
-    const Table2D& t = table.strata[i].table;
-    double pr_z = static_cast<double>(t.total()) /
-                  static_cast<double>(selected_total);
-    if (t.total() == 0) continue;
-    // Degenerate margins admit a single table: MI is always 0.
-    int nonzero_rows = 0;
-    int nonzero_cols = 0;
-    for (int64_t v : t.row_margins()) nonzero_rows += v > 0 ? 1 : 0;
-    for (int64_t v : t.col_margins()) nonzero_cols += v > 0 ? 1 : 0;
-    if (nonzero_rows <= 1 || nonzero_cols <= 1) continue;
-    for (int rep = 0; rep < m; ++rep) {
-      Status st = SampleTableWithMargins(t.row_margins(), t.col_margins(),
-                                         log_fact, rng_, &sample);
-      if (!st.ok()) continue;  // underflow: skip this replicate's stratum
-      replicate[rep] += pr_z * sample.MutualInformation(est);
-    }
-  }
+  const std::vector<double> replicate =
+      PermutationReplicates(table, strata_idx, m, est, rng_);
 
   // Mid-p convention: contingency tables are discrete, so exact ties
   // between the replicate statistic and s0 carry real probability mass;

@@ -7,7 +7,16 @@
 //  * kPearson  — classic Pearson X² summed over strata (for reference).
 //  * kMit      — Alg. 2: Monte-Carlo permutation test whose replicates are
 //                drawn per-stratum from fixed-marginals contingency tables
-//                via Patefield's algorithm, never by shuffling rows.
+//                via Patefield's algorithm, never by shuffling rows. The
+//                replicate loop (PermutationReplicates) allocates nothing
+//                per replicate: it runs the allocation-free AS-159 core into
+//                one reused cell buffer with a per-test mode-probability
+//                memo, hoists the fixed row/column entropies to once per
+//                stratum, and reads ln(c) for the joint entropy from a
+//                table filled beside the log-factorials. Its replicates and
+//                its Rng consumption are bit-identical to drawing each
+//                replicate with SampleTableWithMargins and scoring it with
+//                Table2D::MutualInformation.
 //  * kMitSampled — MIT restricted to a weighted sample of strata, weights
 //                w_z = Pr(z)·max(Ĥ_z(X), Ĥ_z(Y)) (Sec. 5 "sampling from
 //                groups"); sample size ⌈factor·ln(1+|Π_Z|)⌉.
@@ -70,6 +79,16 @@ struct CiResult {
   /// True when H0 (independence) is NOT rejected at level `alpha`.
   bool IndependentAt(double alpha) const { return p_value > alpha; }
 };
+
+/// The m permutation replicates of Alg. 2 over the strata `strata_idx` of
+/// `table`: replicate[i] = Σ_z Pr(z)·Î_z(T;Y) of the i-th draw, with
+/// Pr(z) renormalized over the selection. Strata are drawn in
+/// `strata_idx` order, m replicates each, from `rng`; a stratum with
+/// degenerate margins contributes 0 without consuming draws.
+std::vector<double> PermutationReplicates(const StratifiedTable& table,
+                                          const std::vector<int>& strata_idx,
+                                          int m, EntropyEstimator est,
+                                          Rng& rng);
 
 /// Runs conditional-independence tests over one MiEngine (one view).
 /// Counts every test issued — the Fig. 6(a) metric.

@@ -9,6 +9,7 @@
 #define HYPDB_STATS_ENTROPY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dataframe/group_by.h"
@@ -25,6 +26,15 @@ enum class EntropyEstimator {
 /// strictly-positive cells. Returns 0 for total <= 0.
 double EntropyFromCounts(const std::vector<int64_t>& counts, int64_t total,
                          EntropyEstimator estimator);
+
+/// EntropyFromCounts with every ln(c) read from `log_values`
+/// (log_values[c] == std::log(c) for each positive count c, as filled by
+/// LogFactorialTable) and ln(total) passed in as `log_total`. The operation
+/// order is EntropyFromCounts' own, so the result is bit-identical; the
+/// permutation test uses it to drop a std::log per cell per replicate.
+double EntropyFromLogTable(std::span<const int64_t> counts, int64_t total,
+                           double log_total, const double* log_values,
+                           EntropyEstimator estimator);
 
 /// Entropy of a GroupCounts summary (one group = one support point).
 double EntropyOf(const GroupCounts& counts, EntropyEstimator estimator);

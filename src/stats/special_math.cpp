@@ -59,10 +59,14 @@ double LogFactorial(int64_t n) {
   return LnGamma(static_cast<double>(n) + 1.0);
 }
 
-std::vector<double> LogFactorialTable(int64_t n) {
+std::vector<double> LogFactorialTable(int64_t n,
+                                      std::vector<double>* log_values) {
   std::vector<double> table(n + 1, 0.0);
+  if (log_values != nullptr) log_values->assign(n + 1, 0.0);
   for (int64_t i = 2; i <= n; ++i) {
-    table[i] = table[i - 1] + std::log(static_cast<double>(i));
+    const double log_i = std::log(static_cast<double>(i));
+    table[i] = table[i - 1] + log_i;
+    if (log_values != nullptr) (*log_values)[i] = log_i;
   }
   return table;
 }

@@ -20,8 +20,11 @@ double LnGamma(double x);
 double LogFactorial(int64_t n);
 
 /// A dense table of ln(0!), ..., ln(n!) — Patefield's algorithm consumes
-/// log-factorials for every integer up to the table total.
-std::vector<double> LogFactorialTable(int64_t n);
+/// log-factorials for every integer up to the table total. When `log_values`
+/// is non-null it also receives ln(k) = std::log(k) for k = 1..n (entry 0 is
+/// 0), taken from the same std::log calls the factorial sums are built from.
+std::vector<double> LogFactorialTable(int64_t n,
+                                      std::vector<double>* log_values = nullptr);
 
 /// Regularized lower incomplete gamma P(a, x) = γ(a,x)/Γ(a), a > 0, x ≥ 0.
 double RegularizedGammaP(double a, double x);

@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,18 +20,6 @@ Rng::Rng(uint64_t seed) {
   // consecutive zeros.
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
@@ -50,10 +36,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);
   return lo + static_cast<int64_t>(
                   NextBounded(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-double Rng::UniformDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Normal() {

@@ -9,6 +9,7 @@
 #ifndef HYPDB_UTIL_RNG_H_
 #define HYPDB_UTIL_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -28,7 +29,18 @@ class Rng {
   static constexpr uint64_t min() { return 0; }
   static constexpr uint64_t max() { return ~0ull; }
 
-  uint64_t Next();
+  /// Inline: the permutation test draws one per AS-159 cell step.
+  uint64_t Next() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0.
   uint64_t NextBounded(uint64_t bound);
@@ -37,7 +49,9 @@ class Rng {
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Standard normal via Box-Muller.
   double Normal();
