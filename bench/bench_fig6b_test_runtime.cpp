@@ -43,10 +43,11 @@ TablePtr MakeData(int64_t rows, uint64_t seed) {
 // recompute Î(T;Y|Z) from scratch, `permutations` times.
 double ShuffleBaselineMs(const TablePtr& data, int permutations, Rng& rng) {
   // Copy out the columns once.
-  std::vector<int32_t> t = data->column(0).codes();
-  const auto& y = data->column(1).codes();
-  const auto& z1 = data->column(2).codes();
-  const auto& z2 = data->column(3).codes();
+  const std::span<const int32_t> t_codes = data->column(0).codes();
+  std::vector<int32_t> t(t_codes.begin(), t_codes.end());
+  const std::span<const int32_t> y = data->column(1).codes();
+  const std::span<const int32_t> z1 = data->column(2).codes();
+  const std::span<const int32_t> z2 = data->column(3).codes();
   Stopwatch timer;
   for (int p = 0; p < permutations; ++p) {
     rng.Shuffle(&t);

@@ -11,9 +11,6 @@
 //   --bounds            also print the effect interval over all subsets
 //                       of MB(T) (the Sec. 4 bounds extension)
 //   --threads=N         worker threads for data scans (0 = all cores)
-//   --morsel=N          rows per scan morsel (work unit handed to a
-//                       scan worker; results identical for any value)
-//   --no-simd           force the scalar scan kernels (bit-identical)
 //   --materialization=static|adaptive
 //                       cache policy for every counting layer: static
 //                       (oldest-first eviction, domain-bound admission)
@@ -82,6 +79,7 @@
 //
 // With no arguments, runs a built-in demo on the Berkeley dataset.
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -288,14 +286,22 @@ int RunServe(const HypDbServiceOptions& options) {
       std::string stage;
       std::string context_token;
       in >> session >> stage >> context_token;
-      if (session == 0 || stage.empty()) {
+      // The context, when given, must be a whole non-negative number:
+      // "explain x" or "explain 1x" is a typo, not context 0 or 1.
+      std::optional<int> ctx;
+      if (!context_token.empty()) {
+        const char* end = context_token.data() + context_token.size();
+        int value = -1;
+        auto [ptr, ec] = std::from_chars(context_token.data(), end, value);
+        if (ec == std::errc() && ptr == end) ctx = value;
+      }
+      if (session == 0 || stage.empty() ||
+          (!context_token.empty() && (!ctx || *ctx < 0))) {
         std::printf("usage: step <session> "
                     "<answers|discover|detect|explain|rewrite|report> "
                     "[context]\n");
         continue;
       }
-      std::optional<int> ctx;
-      if (!context_token.empty()) ctx = std::atoi(context_token.c_str());
       auto report = service.AdvanceSession(session, stage, ctx);
       if (!report.ok()) {
         std::printf("error: %s\n", report.status().ToString().c_str());
@@ -346,11 +352,11 @@ int RunServe(const HypDbServiceOptions& options) {
     if (cmd == "datasets") {
       for (const DatasetInfo& d : service.Datasets()) {
         std::printf("%-16s epoch %lld  %lld rows  %d columns  %d shards  "
-                    "%lld chunks  watermark %lld\n",
+                    "watermark %lld  %lld bytes copied\n",
                     d.name.c_str(), static_cast<long long>(d.epoch),
                     static_cast<long long>(d.rows), d.columns, d.shards,
-                    static_cast<long long>(d.chunks),
-                    static_cast<long long>(d.watermark));
+                    static_cast<long long>(d.watermark),
+                    static_cast<long long>(d.bytes_copied));
         std::printf("%-16s cache %lld/%lld cells (%lld pinned, %lld "
                     "entries)  cube %lld cells  hit %.1f%%  evictions "
                     "%lld\n",
@@ -457,10 +463,6 @@ int main(int argc, char** argv) {
       bounds = true;
     } else if (flag.rfind("--threads=", 0) == 0) {
       options.engine.scan_threads = std::atoi(flag.c_str() + 10);
-    } else if (flag.rfind("--morsel=", 0) == 0) {
-      options.engine.scan_morsel_rows = std::atoll(flag.c_str() + 9);
-    } else if (flag == "--no-simd") {
-      options.engine.scan_simd = false;
     } else if (flag.rfind("--materialization=", 0) == 0) {
       StatusOr<MaterializationMode> mode =
           ParseMaterializationMode(flag.c_str() + 18);
@@ -605,8 +607,8 @@ int main(int argc, char** argv) {
   std::string sql;
   if (positional.size() < 2) {
     std::printf("usage: %s <data.csv> \"<SELECT ...>\" [--alpha=A] "
-                "[--no-mediators] [--bounds] [--threads=N] [--morsel=N] "
-                "[--no-simd] [--materialization=static|adaptive]\n"
+                "[--no-mediators] [--bounds] [--threads=N] "
+                "[--materialization=static|adaptive]\n"
                 "       %s --serve [--workers=N] [--threads=N] [--alpha=A] "
                 "[--materialization=static|adaptive] [--stats-log=PATH] "
                 "[--trace=0|1|2] [--slow-query-log=PATH,SECONDS]\n"

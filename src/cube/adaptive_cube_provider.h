@@ -3,7 +3,7 @@
 // CubeCountProvider (Fig. 6d) is a static configuration: build the cube
 // up front, answer from it forever. This provider makes the cube a
 // *runtime decision*: it wraps a live base engine (the registry's
-// ChunkedCountProvider) and holds an optional DataCube installed by the
+// AppendOnlyCountProvider) and holds an optional DataCube installed by the
 // dataset registry's advisor. A query over a subset of the cube's
 // dimensions is answered from the lattice — no scan at all — when the
 // cube is current (built at the base's present population version);

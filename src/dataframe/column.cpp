@@ -20,9 +20,18 @@ int32_t Dictionary::Find(const std::string& label) const {
 }
 
 Column::Column(std::string name, Dictionary dict, std::vector<int32_t> codes)
+    : Column(std::move(name), std::move(dict),
+             std::make_shared<const CodeBuffer>(std::move(codes)), 0) {
+  num_rows_ = static_cast<int64_t>(buffer_->size());
+}
+
+Column::Column(std::string name, Dictionary dict,
+               std::shared_ptr<const CodeBuffer> buffer, int64_t num_rows)
     : name_(std::move(name)),
       dict_(std::move(dict)),
-      codes_(std::move(codes)) {
+      buffer_(std::move(buffer)),
+      data_(buffer_->data()),
+      num_rows_(num_rows) {
   // Eager build keeps the column free of mutable state: readers on any
   // thread (e.g. the parallel scan kernel) only ever see const data.
   numeric_cache_.resize(dict_.size());

@@ -8,6 +8,8 @@
 #define HYPDB_DATAFRAME_COLUMN_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,20 +37,33 @@ class Dictionary {
   std::unordered_map<std::string, int32_t> index_;
 };
 
+/// A column's code storage: one int32 code per row. Shared between
+/// columns, so a snapshot of a growing store is a prefix of its buffer.
+using CodeBuffer = std::vector<int32_t>;
+
 /// A named categorical column: codes + dictionary. Immutable once built,
 /// so concurrent readers (the parallel scan kernel) need no locking — the
 /// numeric label cache is built eagerly in the constructor for exactly
-/// that reason.
+/// that reason. The codes are the first NumRows() entries of a shared
+/// buffer; copying a column shares it.
 class Column {
  public:
   Column() = default;
   Column(std::string name, Dictionary dict, std::vector<int32_t> codes);
+  /// The first `num_rows` codes of `buffer` (num_rows <= buffer->size()).
+  /// Entries past `num_rows` are never read, so an append-only store may
+  /// keep writing there while this column is in use.
+  Column(std::string name, Dictionary dict,
+         std::shared_ptr<const CodeBuffer> buffer, int64_t num_rows);
 
   const std::string& name() const { return name_; }
   const Dictionary& dict() const { return dict_; }
-  const std::vector<int32_t>& codes() const { return codes_; }
+  std::span<const int32_t> codes() const {
+    return {data_, static_cast<size_t>(num_rows_)};
+  }
+  const std::shared_ptr<const CodeBuffer>& buffer() const { return buffer_; }
 
-  int64_t NumRows() const { return static_cast<int64_t>(codes_.size()); }
+  int64_t NumRows() const { return num_rows_; }
   int32_t Cardinality() const { return dict_.size(); }
 
   /// Bits needed to address the code space [0, Cardinality()): the
@@ -66,9 +81,9 @@ class Column {
   }
 
 
-  int32_t CodeAt(int64_t row) const { return codes_[row]; }
+  int32_t CodeAt(int64_t row) const { return data_[row]; }
   const std::string& LabelAt(int64_t row) const {
-    return dict_.Label(codes_[row]);
+    return dict_.Label(data_[row]);
   }
 
   /// Numeric interpretation of code `code`: the label parsed as a double.
@@ -82,7 +97,10 @@ class Column {
  private:
   std::string name_;
   Dictionary dict_;
-  std::vector<int32_t> codes_;
+  std::shared_ptr<const CodeBuffer> buffer_;
+  // buffer_->data(), cached so CodeAt is a single load.
+  const int32_t* data_ = nullptr;
+  int64_t num_rows_ = 0;
 
   // Parsed labels, built once at construction; NaN marks unparseable.
   std::vector<double> numeric_cache_;

@@ -68,14 +68,9 @@ struct CountEngineStats {
   /// over the appended suffix instead of rescanning from scratch
   /// (incremented by caching layers).
   int64_t delta_patches = 0;
-  /// Chunks the chunked store actually scanned (full or partial;
-  /// incremented by chunked scan providers).
-  int64_t chunk_scans = 0;
-  /// Chunks a delta scan skipped because they lie entirely below the
-  /// requested watermark — the rows delta maintenance never re-reads.
-  int64_t chunks_skipped = 0;
-  /// Rows read by chunked scans (full scans and delta suffixes alike);
-  /// with chunks_skipped this quantifies what incremental ingest saves.
+  /// Rows read by the append-only store's scan providers (full scans and
+  /// delta ranges alike); a delta scan reads only the appended rows, so
+  /// this quantifies what incremental ingest saves.
   int64_t rows_scanned = 0;
 
   CountEngineStats& operator+=(const CountEngineStats& o) {
@@ -88,8 +83,6 @@ struct CountEngineStats {
     fallback_calls += o.fallback_calls;
     evictions += o.evictions;
     delta_patches += o.delta_patches;
-    chunk_scans += o.chunk_scans;
-    chunks_skipped += o.chunks_skipped;
     rows_scanned += o.rows_scanned;
     return *this;
   }
@@ -105,8 +98,6 @@ struct CountEngineStats {
     d.fallback_calls -= o.fallback_calls;
     d.evictions -= o.evictions;
     d.delta_patches -= o.delta_patches;
-    d.chunk_scans -= o.chunk_scans;
-    d.chunks_skipped -= o.chunks_skipped;
     d.rows_scanned -= o.rows_scanned;
     return d;
   }

@@ -1,5 +1,6 @@
 #include "net/hypdb_handlers.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "datagen/adult_data.h"
@@ -153,7 +154,8 @@ JsonValue HypDbHandlers::Healthz() const {
   out.Set("compiler", JsonValue::Str(BuildCompiler()));
   out.Set("build_type", JsonValue::Str(BuildType()));
   // Per-dataset storage shape: a probe watching an ingest pipeline reads
-  // row/chunk/watermark progression here without the full dataset list.
+  // row/watermark progression and buffer-growth copies here without the
+  // full dataset list.
   // Cache occupancy rides along so an operator sees pool pressure
   // (cells/budget, hit ratio, evictions) and advisor cube residency from
   // one readiness probe.
@@ -161,7 +163,7 @@ JsonValue HypDbHandlers::Healthz() const {
   for (const DatasetInfo& info : service_->Datasets()) {
     JsonValue shape = JsonValue::MakeObject();
     shape.Set("rows", JsonValue::Int(info.rows));
-    shape.Set("chunks", JsonValue::Int(info.chunks));
+    shape.Set("bytes_copied", JsonValue::Int(info.bytes_copied));
     shape.Set("watermark", JsonValue::Int(info.watermark));
     shape.Set("cache", ToJson(info.cache));
     shape.Set("cube_cells", JsonValue::Int(info.cube_cells));

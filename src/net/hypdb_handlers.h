@@ -36,7 +36,7 @@
 //   GET    /healthz            readiness: ok/workers/uptime/datasets/
 //                              queue_depth/sessions/simd + build identity
 //                              (version/compiler/build_type) + per-dataset
-//                              storage shape (rows/chunks/watermark)
+//                              storage shape (rows/bytes_copied/watermark)
 //   GET    /metrics            Prometheus text exposition; ?format=json
 //                              for the structured flavor (with p50/95/99)
 //

@@ -512,8 +512,6 @@ JsonValue ToJson(const CountEngineStats& stats) {
   out.Set("fallback_calls", JsonValue::Int(stats.fallback_calls));
   out.Set("evictions", JsonValue::Int(stats.evictions));
   out.Set("delta_patches", JsonValue::Int(stats.delta_patches));
-  out.Set("chunk_scans", JsonValue::Int(stats.chunk_scans));
-  out.Set("chunks_skipped", JsonValue::Int(stats.chunks_skipped));
   out.Set("rows_scanned", JsonValue::Int(stats.rows_scanned));
   return out;
 }
@@ -539,8 +537,7 @@ const char* TraceEventCategory(TraceEventKind kind) {
     case TraceEventKind::kSliceServe:
     case TraceEventKind::kSliceFallback: return "slice";
     case TraceEventKind::kIngestAppend:
-    case TraceEventKind::kDeltaPatch:
-    case TraceEventKind::kChunkScan: return "ingest";
+    case TraceEventKind::kDeltaPatch: return "ingest";
     case TraceEventKind::kNone: break;
   }
   return "other";
@@ -552,8 +549,7 @@ bool TraceEventIsSpan(TraceEventKind kind) {
          kind == TraceEventKind::kCiTest ||
          kind == TraceEventKind::kDiscoveryWait ||
          kind == TraceEventKind::kIngestAppend ||
-         kind == TraceEventKind::kDeltaPatch ||
-         kind == TraceEventKind::kChunkScan;
+         kind == TraceEventKind::kDeltaPatch;
 }
 
 }  // namespace
@@ -740,7 +736,7 @@ JsonValue ToJson(const DatasetInfo& info) {
   out.Set("rows", JsonValue::Int(info.rows));
   out.Set("columns", JsonValue::Int(info.columns));
   out.Set("shards", JsonValue::Int(info.shards));
-  out.Set("chunks", JsonValue::Int(info.chunks));
+  out.Set("bytes_copied", JsonValue::Int(info.bytes_copied));
   out.Set("watermark", JsonValue::Int(info.watermark));
   out.Set("cache", ToJson(info.cache));
   out.Set("cube_cells", JsonValue::Int(info.cube_cells));
@@ -1110,10 +1106,6 @@ Status ApplyOptionOverrides(const JsonValue& overrides,
       options->seed = static_cast<uint64_t>(value.int_value());
     } else if (key == "scan_threads" && value.is_int()) {
       options->engine.scan_threads = static_cast<int>(value.int_value());
-    } else if (key == "scan_morsel_rows" && value.is_int()) {
-      options->engine.scan_morsel_rows = value.int_value();
-    } else if (key == "scan_simd" && value.is_bool()) {
-      options->engine.scan_simd = value.bool_value();
     } else if (key == "direct_reference" && value.is_string()) {
       options->direct_reference = value.string_value();
     } else if (key == "materialization" && value.is_string()) {

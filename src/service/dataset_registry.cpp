@@ -8,7 +8,7 @@
 #include "engine/caching_count_engine.h"
 #include "engine/predicate_slicing_count_engine.h"
 #include "service/request.h"
-#include "storage/chunked_count_provider.h"
+#include "storage/append_only_count_provider.h"
 #include "storage/filtered_population.h"
 
 namespace hypdb {
@@ -78,10 +78,9 @@ void DatasetRegistry::AdvisorLoop() {
 }
 
 int64_t DatasetRegistry::Register(const std::string& name, TablePtr table) {
-  ChunkedTablePtr store;
+  AppendOnlyTablePtr store;
   if (table != nullptr) {
-    StatusOr<ChunkedTablePtr> built = ChunkedTable::FromTable(
-        table, std::max<int64_t>(1, options_.chunk_rows));
+    StatusOr<AppendOnlyTablePtr> built = AppendOnlyTable::FromTable(table);
     if (built.ok()) store = std::move(*built);
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -121,7 +120,7 @@ StatusOr<int64_t> DatasetRegistry::AppendRows(
   // registry mutex, and readers holding the shared lease re-enter the
   // registry (ShardEngine), so holding mu_ while waiting on the lease
   // would deadlock.
-  ChunkedTablePtr store;
+  AppendOnlyTablePtr store;
   std::shared_ptr<std::shared_mutex> lease;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -196,14 +195,14 @@ StatusOr<int64_t> DatasetRegistry::Epoch(const std::string& name) const {
   return it->second.epoch;
 }
 
-StatusOr<std::shared_ptr<const ChunkedTable>> DatasetRegistry::Store(
+StatusOr<std::shared_ptr<const AppendOnlyTable>> DatasetRegistry::Store(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = datasets_.find(name);
   if (it == datasets_.end() || it->second.store == nullptr) {
     return Status::NotFound("dataset not registered: " + name);
   }
-  return std::shared_ptr<const ChunkedTable>(it->second.store);
+  return std::shared_ptr<const AppendOnlyTable>(it->second.store);
 }
 
 StatusOr<DatasetRegistry::Snapshot> DatasetRegistry::GetSnapshot(
@@ -231,7 +230,7 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
     if (ds.store != nullptr) {
       info.rows = ds.store->NumRows();
       info.columns = ds.store->NumColumns();
-      info.chunks = ds.store->NumChunks();
+      info.bytes_copied = ds.store->bytes_copied();
       info.watermark = ds.store->Watermark();
     }
     info.shards =
@@ -343,9 +342,9 @@ std::shared_ptr<CountEngine> DatasetRegistry::ParentEngineLocked(
     Dataset& ds) {
   if (ds.parent == nullptr && ds.store != nullptr) {
     std::shared_ptr<CountEngine> base =
-        std::make_shared<ChunkedCountProvider>(ds.store, KernelOptions());
+        std::make_shared<AppendOnlyCountProvider>(ds.store, KernelOptions());
     if (Adaptive()) {
-      // Adaptive stack: cache → cube host → chunked scanner. The cube
+      // Adaptive stack: cache → cube host → store scanner. The cube
       // host sits below the cache so a promoted lattice serves cache
       // misses (and observed-cell admission checks); the cache above it
       // keeps hit/marginalization semantics — and bit-identity —
@@ -474,7 +473,7 @@ void DatasetRegistry::AdvisorPass() {
   struct Work {
     std::string name;
     int64_t epoch = 0;
-    ChunkedTablePtr store;
+    AppendOnlyTablePtr store;
     std::shared_ptr<AdaptiveCubeProvider> host;
     std::shared_ptr<CachingCountEngine> cache;
   };

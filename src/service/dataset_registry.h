@@ -1,4 +1,4 @@
-// DatasetRegistry: named chunked tables plus their shared, sharded count
+// DatasetRegistry: named append-only tables plus their shared, sharded count
 // engines and the append/ingest path.
 //
 // The one-shot pipeline re-loads data and re-scans counts per Analyze()
@@ -9,17 +9,17 @@
 // queries on the same (dataset, subpopulation) therefore share one
 // thread-safe contingency cache instead of each owning a private one.
 //
-// Storage: each dataset is backed by a ChunkedTable (src/storage/) —
-// fixed-size row chunks of dictionary codes behind a published row
+// Storage: each dataset is backed by an AppendOnlyTable (src/storage/) —
+// one append-only code buffer per column behind a published row
 // watermark. AppendRows() ingests new rows WITHOUT bumping the epoch:
 // dictionaries grow append-only so existing codes stay stable, and the
 // caching layers patch their summaries by scanning only the appended
-// chunks (CountsDelta) instead of invalidating. Re-registering a name
+// rows (CountsDelta) instead of invalidating. Re-registering a name
 // still replaces the store wholesale, bumps the epoch and drops every
 // shard; appending never does.
 //
 // Shards of one dataset also share *across* subpopulations: every dataset
-// owns one parent CachingCountEngine over the chunked store (the engine
+// owns one parent CachingCountEngine over the append-only store (the engine
 // the empty signature gets), and a shard whose signature parses to a pure
 // equality conjunction P = v is built as a CachingCountEngine over a
 // PredicateSlicingCountEngine — its counts over S are derived by slicing
@@ -55,7 +55,7 @@
 #include "engine/caching_count_engine.h"
 #include "engine/count_engine.h"
 #include "stats/mi_engine.h"
-#include "storage/chunked_table.h"
+#include "storage/append_only_table.h"
 #include "util/statusor.h"
 
 namespace hypdb {
@@ -74,8 +74,6 @@ struct DatasetRegistryOptions {
   /// parent would re-scan the full table per slice, strictly worse than
   /// scanning the filtered view).
   bool cross_shard_slicing = true;
-  /// Rows per storage chunk (delta-scan granularity for appends).
-  int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
 
   /// --- cube advisor (active only under engine.materialization ==
   /// kAdaptive; all ignored under kStatic) ---
@@ -99,10 +97,11 @@ struct DatasetInfo {
   int64_t rows = 0;
   int columns = 0;
   int shards = 0;
-  /// Storage shape: chunks holding published rows, and the published row
+  /// Storage shape: code bytes the store copied growing its buffers
+  /// (AppendOnlyTable::bytes_copied), and the published row
   /// watermark (== rows; reported separately so ingest monitoring reads
   /// the storage-level value, not a derived one).
-  int64_t chunks = 0;
+  int64_t bytes_copied = 0;
   int64_t watermark = 0;
   /// Cache occupancy summed over the dataset's engine pool (parent +
   /// live shards).
@@ -176,8 +175,9 @@ class DatasetRegistry {
   StatusOr<int64_t> Epoch(const std::string& name) const;
   std::vector<DatasetInfo> List() const;
 
-  /// The dataset's chunked store (for ingest benches and storage tests).
-  StatusOr<std::shared_ptr<const ChunkedTable>> Store(
+  /// The dataset's append-only store (for ingest benches and storage
+  /// tests).
+  StatusOr<std::shared_ptr<const AppendOnlyTable>> Store(
       const std::string& name) const;
 
   /// A consistent (table, epoch, watermark) triple — the handle a request
@@ -235,8 +235,8 @@ class DatasetRegistry {
 
  private:
   struct Dataset {
-    /// The chunked store (append target; all reads derive from it).
-    ChunkedTablePtr store;
+    /// The append-only store (append target; all reads derive from it).
+    AppendOnlyTablePtr store;
     int64_t epoch = 0;
     /// Reader/writer lease serializing appends against in-flight
     /// requests. Created at first registration and NEVER replaced —
@@ -248,7 +248,7 @@ class DatasetRegistry {
     /// from), dropped on re-registration — but NOT on append (it reads
     /// the live store and patches its cache by delta).
     std::shared_ptr<CountEngine> parent;
-    /// Under kAdaptive the parent stack is cache → cube host → chunked
+    /// Under kAdaptive the parent stack is cache → cube host → store
     /// scanner; these alias the two wrapper layers so the advisor can
     /// harvest demand (parent_cache) and hot-swap cubes (cube_host).
     /// Null under kStatic or before first parent use.
@@ -286,7 +286,7 @@ class DatasetRegistry {
   /// WrapCache. Static — no delta protocol.
   std::shared_ptr<CountEngine> CachedScanStack(const TableView& view) const;
 
-  /// ds.parent, created over the chunked store if absent. Requires mu_.
+  /// ds.parent, created over the store if absent. Requires mu_.
   std::shared_ptr<CountEngine> ParentEngineLocked(Dataset& ds);
 
   /// A new engine for `signature` over `population`: a slicing stack

@@ -14,7 +14,6 @@ DatasetRegistryOptions RegistryOptions(const HypDbServiceOptions& o) {
   out.engine = o.analysis.engine;
   out.max_shards_per_dataset = o.max_shards_per_dataset;
   out.cross_shard_slicing = o.cross_shard_slicing;
-  out.chunk_rows = o.chunk_rows;
   out.advisor_interval_seconds = o.advisor_interval_seconds;
   return out;
 }
@@ -401,14 +400,16 @@ void HypDbService::RegisterMetrics() {
       "the appended rows (instead of invalidating).",
       {}, engine_stat(&CountEngineStats::delta_patches));
   metrics_.RegisterCounterFn(
-      "hypdb_ingest_chunk_scans_total",
-      "Storage chunks fed to the group-by kernel by chunked scans.", {},
-      engine_stat(&CountEngineStats::chunk_scans));
-  metrics_.RegisterCounterFn(
-      "hypdb_ingest_chunks_skipped_total",
-      "Storage chunks skipped entirely below a delta scan's start "
-      "watermark — the rows incremental ingest did not re-scan.",
-      {}, engine_stat(&CountEngineStats::chunks_skipped));
+      "hypdb_ingest_bytes_copied_total",
+      "Code bytes the storage layer copied growing its column buffers "
+      "(geometric growth: below twice the final code bytes).",
+      {}, [this] {
+        int64_t total = 0;
+        for (const DatasetInfo& info : registry_.List()) {
+          total += info.bytes_copied;
+        }
+        return static_cast<double>(total);
+      });
 
   // Build identity: the Prometheus info-metric idiom (constant 1, the
   // payload lives in the labels) so scrapes say which binary they hit.
@@ -470,9 +471,6 @@ void HypDbService::RegisterMetrics() {
   metrics_.RegisterCounter("hypdb_trace_ingest_events_total",
                            "Traced ingest-path events by kind.",
                            {{"event", "delta_patch"}}, &trace.delta_patches);
-  metrics_.RegisterCounter("hypdb_trace_ingest_events_total",
-                           "Traced ingest-path events by kind.",
-                           {{"event", "chunk_scan"}}, &trace.chunk_scans);
   metrics_.RegisterCounter("hypdb_trace_dropped_events_total",
                            "Trace events dropped because the ring pool "
                            "was exhausted.",
@@ -528,7 +526,7 @@ StatusOr<int64_t> HypDbService::AppendRows(
   // Deliberately NO discovery invalidation and NO session invalidation:
   // appends keep the epoch, cached summaries patch themselves by delta,
   // and discoveries refresh lazily under the staleness bound. This is
-  // the whole point of the chunked store.
+  // the whole point of the append-only store.
   ingest_rows_.Add(static_cast<int64_t>(rows.size()));
   ingest_batches_.Add();
   return watermark;

@@ -67,9 +67,6 @@ struct HypDbServiceOptions {
   bool share_engines = true;
   bool share_discovery = true;
   bool cross_shard_slicing = true;
-  /// Rows per storage chunk (DatasetRegistryOptions::chunk_rows): the
-  /// granularity of delta scans after appends.
-  int64_t chunk_rows = ChunkedTable::kDefaultChunkRows;
   /// Background cube-advisor cadence under adaptive materialization
   /// (analysis.engine.materialization == kAdaptive; inert under
   /// kStatic): seconds between passes promoting persistently hot
@@ -122,7 +119,7 @@ class HypDbService {
   /// Appends rows (one label per column, schema order) to a registered
   /// dataset. Unlike re-registration this does NOT bump the epoch:
   /// sessions, shard caches and cached discoveries survive — cached
-  /// summaries are delta-patched by scanning only the appended chunks,
+  /// summaries are delta-patched by scanning only the appended rows,
   /// and discoveries refresh lazily under refresh_rows_fraction. Appends
   /// serialize behind in-flight requests (the dataset read lease).
   /// Returns the new watermark; NotFound for unknown datasets,
@@ -251,8 +248,8 @@ class HypDbService {
   // First member: registered metric pointers all outlive the registry.
   MetricsRegistry metrics_;
   /// Ingest accounting (hypdb_ingest_*): rows/batches are bumped on the
-  /// append path here; the delta-patch/chunk-scan side is aggregated
-  /// from the registry's engine stats at scrape time.
+  /// append path here; delta patches and buffer-growth copies are
+  /// aggregated from the registry at scrape time.
   Counter ingest_rows_;
   Counter ingest_batches_;
   Stopwatch uptime_;

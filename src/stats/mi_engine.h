@@ -39,14 +39,6 @@ struct MiEngineOptions {
   /// to std::thread::hardware_concurrency() — the production setting the
   /// service layer and `hypdb_cli --threads=0` use.
   int scan_threads = 1;
-  /// Rows per morsel for parallel scans: the contiguous range the
-  /// kernel's atomic cursor hands a worker at a time (`hypdb_cli
-  /// --morsel=N`). Results are bit-identical for any value.
-  int64_t scan_morsel_rows = 1 << 14;
-  /// SIMD (AVX2) scan kernels when compiled in and detected at runtime;
-  /// off forces the bit-identical scalar fallback (`hypdb_cli
-  /// --no-simd`).
-  bool scan_simd = true;
   /// Budget for the count cache, in total cached groups.
   int64_t max_cached_cells = int64_t{1} << 22;
   /// Materialization policy for every caching layer this configuration
@@ -66,8 +58,6 @@ struct MiEngineOptions {
 inline GroupByKernelOptions ScanKernelOptions(const MiEngineOptions& options) {
   GroupByKernelOptions kernel;
   kernel.num_threads = options.scan_threads;
-  kernel.morsel_rows = options.scan_morsel_rows;
-  kernel.use_simd = options.scan_simd;
   return kernel;
 }
 

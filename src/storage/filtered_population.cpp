@@ -6,10 +6,10 @@
 namespace hypdb {
 
 StatusOr<std::shared_ptr<FilteredPopulationProvider>>
-FilteredPopulationProvider::Create(std::shared_ptr<const ChunkedTable> table,
+FilteredPopulationProvider::Create(std::shared_ptr<const AppendOnlyTable> table,
                                    std::vector<Term> terms,
                                    GroupByKernelOptions kernel) {
-  if (!table) return Status::InvalidArgument("null chunked table");
+  if (!table) return Status::InvalidArgument("null append-only table");
   std::vector<std::pair<int, std::vector<std::string>>> resolved;
   resolved.reserve(terms.size());
   const std::vector<std::string>& names = table->ColumnNames();

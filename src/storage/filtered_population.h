@@ -1,5 +1,5 @@
-// FilteredPopulationProvider: a growing WHERE-subpopulation over a
-// ChunkedTable.
+// FilteredPopulationProvider: a growing WHERE-subpopulation over an
+// AppendOnlyTable.
 //
 // A subpopulation shard used to freeze its row subset at creation (a
 // TableView over the table as of then). With incremental ingest the
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "engine/count_engine.h"
-#include "storage/chunked_table.h"
+#include "storage/append_only_table.h"
 
 namespace hypdb {
 
@@ -46,7 +46,7 @@ class FilteredPopulationProvider : public CountEngine {
   /// Label values need not exist yet — they may arrive with a later
   /// append.
   static StatusOr<std::shared_ptr<FilteredPopulationProvider>> Create(
-      std::shared_ptr<const ChunkedTable> table, std::vector<Term> terms,
+      std::shared_ptr<const AppendOnlyTable> table, std::vector<Term> terms,
       GroupByKernelOptions kernel = {});
 
   StatusOr<GroupCounts> Counts(const std::vector<int>& cols) override;
@@ -70,7 +70,7 @@ class FilteredPopulationProvider : public CountEngine {
   }
 
  private:
-  FilteredPopulationProvider(std::shared_ptr<const ChunkedTable> table,
+  FilteredPopulationProvider(std::shared_ptr<const AppendOnlyTable> table,
                              std::vector<std::pair<int, std::vector<std::string>>>
                                  terms,
                              GroupByKernelOptions kernel)
@@ -87,7 +87,7 @@ class FilteredPopulationProvider : public CountEngine {
 
   void CountScanned(const StatusOr<GroupCounts>& counts, int64_t rows);
 
-  std::shared_ptr<const ChunkedTable> table_;
+  std::shared_ptr<const AppendOnlyTable> table_;
   const std::vector<std::pair<int, std::vector<std::string>>> terms_;
   GroupByKernelOptions kernel_;
 

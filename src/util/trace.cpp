@@ -138,7 +138,6 @@ void RollupEvent(TraceEventKind kind, uint64_t arg0, double dur_seconds) {
     case TraceEventKind::kMorselBatch: r.morsel_batches.Add(); break;
     case TraceEventKind::kIngestAppend: r.ingest_appends.Add(); break;
     case TraceEventKind::kDeltaPatch: r.delta_patches.Add(); break;
-    case TraceEventKind::kChunkScan: r.chunk_scans.Add(); break;
     case TraceEventKind::kNone: break;
   }
 }
@@ -192,7 +191,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kMorselBatch: return "morsel_batch";
     case TraceEventKind::kIngestAppend: return "ingest_append";
     case TraceEventKind::kDeltaPatch: return "delta_patch";
-    case TraceEventKind::kChunkScan: return "chunk_scan";
   }
   return "unknown";
 }

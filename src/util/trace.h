@@ -54,7 +54,6 @@ enum class TraceEventKind : uint8_t {
   kDiscoveryWait,  // blocked on an in-flight twin discovery (coalesced)
   kIngestAppend,   // one append batch; arg0 = rows, arg1 = new watermark
   kDeltaPatch,     // cached summary patched current; arg0 = stale rows
-  kChunkScan,      // one chunk (or suffix) scanned; arg0 = chunk, arg1 = rows
   // Instants (dur == 0 always).
   kCacheHit,          // CachingCountEngine exact-summary hit
   kCacheMiss,         // CachingCountEngine scan (no reusable summary)
@@ -197,7 +196,6 @@ struct TraceRollup {
   Counter morsel_batches;
   Counter ingest_appends;
   Counter delta_patches;
-  Counter chunk_scans;
   /// Events lost because the ring pool was exhausted (more live threads
   /// than kMaxRings) — the only way recording is ever incomplete.
   Counter dropped_events;

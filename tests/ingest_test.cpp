@@ -69,7 +69,6 @@ TEST(IngestTest, AppendNeverBumpsEpochAndPatchesCaches) {
 
   HypDbServiceOptions options;
   options.num_workers = 2;
-  options.chunk_rows = 128;
   HypDbService service(options);
   const int64_t epoch = service.RegisterTable("d", TableFromRows(rows));
 
@@ -88,19 +87,27 @@ TEST(IngestTest, AppendNeverBumpsEpochAndPatchesCaches) {
     EXPECT_EQ(info.epoch, epoch);
     EXPECT_EQ(info.rows, 800);
     EXPECT_EQ(info.watermark, 800);
-    EXPECT_GT(info.chunks, 4);
+    // The batch outgrew the adopted seed buffers: one copy of the 600
+    // seed rows x 3 int32 columns.
+    EXPECT_EQ(info.bytes_copied, 600 * 3 * 4);
   }
 
   // Post-append analysis is bit-identical to a cold rebuild on the
   // grown table, and the shard cache answered by delta-patching its
   // summaries rather than rescanning from scratch.
+  auto appended = service.engine_stats("d");
+  ASSERT_TRUE(appended.ok());
   auto after = service.AnalyzeSql("d", kSql);
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_EQ(CanonicalReportDigest(after->report), ColdDigest(rows));
   auto stats = service.engine_stats("d");
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->delta_patches, 0);
-  EXPECT_GT(stats->chunks_skipped, 0);
+  // At least one post-append scan was a delta over the 200 new rows,
+  // not a full pass over all 800.
+  const CountEngineStats post = *stats - *appended;
+  EXPECT_GT(post.scans, 0);
+  EXPECT_LT(post.rows_scanned, post.scans * 800);
 
   // Error paths: unknown dataset, arity mismatch (nothing appended).
   EXPECT_EQ(service.AppendRows("nope", batch).status().code(),
@@ -116,7 +123,6 @@ TEST(IngestTest, SubpopulationShardsSurviveAndGrow) {
   Rows rows = SyntheticRows(400, &rng);
   HypDbServiceOptions options;
   options.num_workers = 2;
-  options.chunk_rows = 64;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(rows));
 
@@ -146,7 +152,6 @@ TEST(IngestTest, SessionsSurviveAppendPinnedAtTheirWatermark) {
   Rows rows = SyntheticRows(500, &rng);
   HypDbServiceOptions options;
   options.num_workers = 2;
-  options.chunk_rows = 64;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(rows));
 
@@ -175,7 +180,6 @@ TEST(IngestTest, DiscoveryRefreshGovernedByStalenessBound) {
 
   HypDbServiceOptions options;
   options.num_workers = 1;
-  options.chunk_rows = 64;
   options.refresh_rows_fraction = 0.5;  // refresh past 50% growth
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(rows));
@@ -292,7 +296,8 @@ TEST(IngestWireTest, AppendEndpointStatusMapping) {
   ASSERT_NE(shape, nullptr);
   EXPECT_EQ(shape->Find("rows")->int_value(), 53);
   EXPECT_EQ(shape->Find("watermark")->int_value(), 53);
-  EXPECT_GE(shape->Find("chunks")->int_value(), 1);
+  // The first append copied the 50 seed rows x 3 int32 columns once.
+  EXPECT_EQ(shape->Find("bytes_copied")->int_value(), 50 * 3 * 4);
 }
 
 // ---- concurrency: the TSan target --------------------------------------
@@ -322,7 +327,6 @@ TEST(IngestTest, ConcurrentAppendAndAnalyzeBitIdentity) {
 
   HypDbServiceOptions options;
   options.num_workers = 3;
-  options.chunk_rows = 100;
   HypDbService service(options);
   service.RegisterTable("d", TableFromRows(seed));
 
